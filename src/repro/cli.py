@@ -525,14 +525,13 @@ def cmd_churn(args) -> int:
                              at_least_once=not args.best_effort,
                              settle=args.settle)
     result = run_swarm(config)
-    schedule = config.churn
-    assert schedule is not None
+    schedule = config.faults
     mode = "best-effort" if args.best_effort else "at-least-once"
     print("churn soak: %s under %s (%s), %d events over %.0fs"
           % (args.app, args.policy, mode, len(schedule), args.duration))
     print("schedule: %s"
           % "; ".join("t=%.1fs %s %s" % (event.time, event.action,
-                                         event.device_id)
+                                         event.target)
                       for event in schedule))
     series = result.throughput_series()
     print("throughput: [%s] peak %.0f FPS"

@@ -251,24 +251,7 @@ class SwingRuntime:
         self.master.checkpoint()
         return imported
 
-    def partition_link(self, sender_id: str, target_id: str) -> None:
-        """Sever a directed link (requires a chaos-capable fabric)."""
-        partition = getattr(self.fabric, "partition", None)
-        if partition is None:
-            raise RuntimeStateError(
-                "fabric %r cannot partition links; wrap it in a ChaosFabric"
-                % type(self.fabric).__name__)
-        partition(sender_id, target_id)
-
-    def heal_link(self, sender_id: str, target_id: str) -> None:
-        heal = getattr(self.fabric, "heal", None)
-        if heal is None:
-            raise RuntimeStateError(
-                "fabric %r cannot heal links; wrap it in a ChaosFabric"
-                % type(self.fabric).__name__)
-        heal(sender_id, target_id)
-
-    # -- churn (used by the chaos harness) ---------------------------------
+    # -- churn (used by the fault harness) ---------------------------------
     def crash_worker(self, worker_id: str) -> None:
         """Kill *worker_id* without any goodbye (silent crash).
 

@@ -1,4 +1,4 @@
-"""Chaos tooling: link-level fault injection + the churn harness.
+"""Chaos tooling: link-level fault injection + the fault harness.
 
 Two layers share this module:
 
@@ -11,22 +11,16 @@ Two layers share this module:
     ``PYTHONHASHSEED``), so a seed reproduces the same fault story
     regardless of thread interleaving on other links.
 
-:class:`ChurnHarness`
-    Replays a :class:`ChurnSchedule` against a live
-    :class:`SwingRuntime` — the threaded-runtime twin of the
-    simulator's churn consumption, extended with control-plane events:
+:class:`FaultHarness`
+    Replays a tuple of :class:`~repro.core.faults.FaultEvent` against a
+    live :class:`SwingRuntime` — the threaded-runtime twin of the
+    simulator's fault table (DESIGN.md §7 maps every action on both
+    substrates).  Membership and master events call the runtime; link
+    partitions and chaos windows act on its :class:`ChaosFabric`;
+    ``load_burst`` has no mirror.
 
-    - ``kill``   → :meth:`SwingRuntime.crash_worker` (silent crash)
-    - ``leave``  → :meth:`SwingRuntime.drain_worker` (LEAVING drain)
-    - ``join`` / ``rejoin`` → :meth:`SwingRuntime.spawn_worker`
-    - ``kill_master``    → :meth:`SwingRuntime.crash_master`
-    - ``restart_master`` → :meth:`SwingRuntime.restart_master`
-    - ``partition`` / ``heal`` → sever / restore an ``a>b`` link
-      (requires the runtime's fabric to be a :class:`ChaosFabric`)
-
-Because both substrates consume the schedule identically, a seeded
-churn trace produces the same membership timeline in simulation and on
-the live runtime — the parity the churn integration tests assert.
+One seeded fault story thus yields the same membership timeline in
+simulation and on the live runtime.
 """
 
 from __future__ import annotations
@@ -36,15 +30,18 @@ import threading
 import time
 import zlib
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro import metrics as metrics_mod
-from repro.core.delivery import (CHURN_HEAL, CHURN_JOIN, CHURN_KILL,
-                                 CHURN_KILL_MASTER, CHURN_LEAVE,
-                                 CHURN_PARTITION, CHURN_REJOIN,
-                                 CHURN_RESTART_MASTER, ChurnEvent,
-                                 ChurnSchedule)
 from repro.core.exceptions import RuntimeStateError, SerializationError
+from repro.core.faults import (ALL_DEVICES, CHAOS_CORRUPT, CHAOS_DELAY,
+                               CHAOS_DROP, CHAOS_DUPLICATE, CHURN_DISCONNECT,
+                               CHURN_HEAL, CHURN_JOIN, CHURN_KILL,
+                               CHURN_KILL_MASTER, CHURN_LEAVE,
+                               CHURN_PARTITION, CHURN_REJOIN,
+                               CHURN_RESTART_MASTER, WINDOW_ACTIONS,
+                               FaultEvent, in_time_order)
+from repro.core.function_unit import SinkUnit
 from repro.runtime.app_runner import SwingRuntime
 from repro.runtime.channels import ChannelClosed
 from repro.runtime.fabric import Fabric, Mailbox
@@ -121,6 +118,11 @@ class ChaosFabric(Fabric):
         """Override the fault profile of one directed link."""
         with self._lock:
             self._links[(sender_id, target_id)] = chaos
+
+    def set_default(self, chaos: LinkChaos) -> None:
+        """Replace the fault profile of every link without an override."""
+        with self._lock:
+            self._default = chaos
 
     def partition(self, sender_id: str, target_id: str,
                   symmetric: bool = True) -> None:
@@ -259,63 +261,134 @@ class ChaosFabric(Fabric):
             self.injected[key] = self.injected.get(key, 0) + 1
 
 
-class ChurnHarness:
-    """Applies one churn schedule to a started :class:`SwingRuntime`.
+#: the LinkChaos probability each chaos window sets to its intensity
+_CHAOS_FIELDS = {CHAOS_DROP: "drop", CHAOS_DUPLICATE: "duplicate",
+                 CHAOS_CORRUPT: "corrupt"}
 
-    *time_scale* stretches (>1) or compresses (<1) the schedule's event
-    times — soak tests compress a long simulated schedule into a short
-    wall-clock run.  Events are applied strictly in schedule order; a
-    drain blocks until the leaver is empty, which is the point (the next
-    event must observe the post-drain swarm, as it would on the engine).
+
+class FaultHarness:
+    """Applies fault events to a started :class:`SwingRuntime`.
+
+    *time_scale* stretches (>1) or compresses (<1) the events' times —
+    soak tests compress a long simulated schedule into a short
+    wall-clock run.  Point events are applied strictly in time order on
+    the caller's thread; a drain blocks until the leaver is empty, which
+    is the point (the next event must observe the post-drain swarm, as
+    it would on the engine).  Window edges fire from their own thread,
+    so an edge that falls inside a blocking drain still lands on time.
     """
 
-    def __init__(self, runtime: SwingRuntime, schedule: ChurnSchedule,
+    def __init__(self, runtime: SwingRuntime,
+                 events: Iterable[FaultEvent],
                  time_scale: float = 1.0) -> None:
         if time_scale <= 0:
             raise RuntimeStateError("time scale must be positive")
         self.runtime = runtime
-        self.schedule = schedule
         self.time_scale = time_scale
+        ordered = in_time_order(events)
+        self._points = [event for event in ordered
+                        if event.action not in WINDOW_ACTIONS]
+        #: (offset, link setter) per window edge, in time order
+        self._edges: List[Tuple[float, Callable[[], None]]] = []
+        for event in ordered:
+            chaos = self._link_chaos(event)
+            if chaos is None:
+                continue  # load_burst: a CPU-model nemesis, no mirror
+            self._edges.append((event.time, self._setter(event, chaos)))
+            self._edges.append((event.end, self._setter(event,
+                                                        LinkChaos())))
+        self._edges.sort(key=lambda edge: edge[0])
+        self._halt = threading.Event()
         #: (event, wall-clock offset it actually fired at) — in order
-        self.applied: List[Tuple[ChurnEvent, float]] = []
+        self.applied: List[Tuple[FaultEvent, float]] = []
         #: measured drain duration per gracefully departed worker
         self.drain_seconds: Dict[str, float] = {}
+        #: each master incarnation's sink unit and pool epoch, in order
+        #: (a restarted master collects into a fresh sink)
+        self.sinks: List[SinkUnit] = []
+        self.epochs: List[int] = []
 
-    def run(self, deadline: Optional[float] = None) -> None:
-        """Blockingly replay the schedule against the running swarm."""
+    def run(self) -> None:
+        """Blockingly replay the events against the running swarm."""
         started = time.monotonic()
-        for event in self.schedule:
-            target = started + event.time * self.time_scale
-            if deadline is not None and target > started + deadline:
-                break
-            delay = target - time.monotonic()
-            if delay > 0:
-                time.sleep(delay)
-            self._apply(event)
-            self.applied.append((event, time.monotonic() - started))
+        self._record_master()
+        edges = threading.Thread(target=self._run_edges, args=(started,),
+                                 name="chaos-windows", daemon=True)
+        edges.start()
+        try:
+            for event in self._points:
+                self._wait_until(started + event.time * self.time_scale)
+                self._apply(event)
+                self.applied.append((event, time.monotonic() - started))
+        except BaseException:
+            self._halt.set()
+            raise
+        edges.join()
 
-    def _apply(self, event: ChurnEvent) -> None:
-        if event.action == CHURN_KILL:
-            self.runtime.crash_worker(event.device_id)
+    def _wait_until(self, moment: float) -> None:
+        delay = moment - time.monotonic()
+        if delay > 0:
+            self._halt.wait(delay)
+
+    def _run_edges(self, started: float) -> None:
+        for offset, apply_edge in self._edges:
+            self._wait_until(started + offset * self.time_scale)
+            if self._halt.is_set():
+                return
+            apply_edge()
+
+    def _record_master(self) -> None:
+        self.sinks.append(self.runtime.sink_unit())
+        self.epochs.append(self.runtime.master.pool.epoch)
+
+    def _apply(self, event: FaultEvent) -> None:
+        runtime, target = self.runtime, event.target
+        if event.action in (CHURN_KILL, CHURN_DISCONNECT):
+            runtime.crash_worker(target)
         elif event.action == CHURN_LEAVE:
-            elapsed = self.runtime.drain_worker(event.device_id)
-            self.drain_seconds[event.device_id] = elapsed
+            self.drain_seconds[target] = runtime.drain_worker(target)
         elif event.action in (CHURN_JOIN, CHURN_REJOIN):
-            self.runtime.spawn_worker(event.device_id)
+            runtime.spawn_worker(target)
         elif event.action == CHURN_KILL_MASTER:
-            self.runtime.crash_master()
+            runtime.crash_master()
         elif event.action == CHURN_RESTART_MASTER:
-            self.runtime.restart_master()
-        elif event.action in (CHURN_PARTITION, CHURN_HEAL):
-            # The device id names a directed link, "sender>target".
-            sender_id, sep, target_id = event.device_id.partition(">")
-            if not sep or not sender_id or not target_id:
-                raise RuntimeStateError(
-                    "%s event needs a 'sender>target' link id, got %r"
-                    % (event.action, event.device_id))
-            if event.action == CHURN_PARTITION:
-                self.runtime.partition_link(sender_id, target_id)
-            else:
-                self.runtime.heal_link(sender_id, target_id)
-        else:  # pragma: no cover - ChurnEvent validates actions
-            raise RuntimeStateError("unknown churn action %r" % event.action)
+            runtime.restart_master()
+            self._record_master()
+        elif event.action == CHURN_PARTITION:
+            self._fabric(event).partition(*self._link(target))
+        elif event.action == CHURN_HEAL:
+            self._fabric(event).heal(*self._link(target))
+
+    def _link(self, target: str) -> Tuple[str, str]:
+        """A directed ``sender>target`` link; a bare device id names the
+        master's link to it (the engine's hub-and-spoke equivalent)."""
+        sender_id, sep, target_id = target.partition(">")
+        if not sep:
+            return self.runtime.master.master_id, target
+        if not sender_id or not target_id:
+            raise RuntimeStateError("fault target needs a 'sender>target' "
+                                    "link id, got %r" % target)
+        return sender_id, target_id
+
+    def _link_chaos(self, event: FaultEvent) -> Optional[LinkChaos]:
+        if event.action == CHAOS_DELAY:
+            return LinkChaos(delay=1.0,
+                             delay_seconds=event.value * self.time_scale)
+        field = _CHAOS_FIELDS.get(event.action)
+        return None if field is None else LinkChaos(**{field: event.value})
+
+    def _fabric(self, event: FaultEvent) -> ChaosFabric:
+        fabric = self.runtime.fabric
+        if not isinstance(fabric, ChaosFabric):
+            raise RuntimeStateError(
+                "%s needs the runtime's fabric wrapped in a ChaosFabric, "
+                "not %r" % (event.action, type(fabric).__name__))
+        return fabric
+
+    def _setter(self, event: FaultEvent,
+                chaos: LinkChaos) -> Callable[[], None]:
+        fabric = self._fabric(event)
+        if event.target == ALL_DEVICES:
+            return lambda: fabric.set_default(chaos)
+        sender_id, target_id = self._link(event.target)
+        return lambda: fabric.set_link(sender_id, target_id, chaos)

@@ -7,23 +7,22 @@ build on these so the exact testbed layouts live in one place.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Sequence
+import random
+from typing import List, Optional, Sequence, Tuple
 
 from repro import profiles
-from repro.core.delivery import (AT_LEAST_ONCE, BEST_EFFORT,
-                                 CHURN_KILL_MASTER, CHURN_RESTART_MASTER,
-                                 ChurnEvent, ChurnSchedule, DeliveryConfig)
-from repro.core.exceptions import SimulationError
+from repro.core.delivery import AT_LEAST_ONCE, BEST_EFFORT, DeliveryConfig
+from repro.core.exceptions import RuntimeStateError, SimulationError
+from repro.core.faults import (ALL_DEVICES, CHAOS_DELAY, CHAOS_DROP,
+                               CHURN_DISCONNECT, CHURN_JOIN, CHURN_KILL,
+                               CHURN_KILL_MASTER, CHURN_LEAVE, CHURN_REJOIN,
+                               CHURN_RESTART_MASTER, LOAD_BURST, FaultEvent)
 from repro.core.keyed import KeyedConfig
 from repro.core.multitenant import TenantSpec
 from repro.core.overload import DROP_OLDEST, OverloadConfig
 from repro.simulation.mobility import MobilityPlan, MobilityTrace
-from repro.simulation.network import (RSSI_FAIR, RSSI_GOOD, RSSI_POOR,
-                                      rssi_for_region)
-from repro.simulation.swarm import (BackgroundLoadEvent, DeviceKillEvent,
-                                    DeviceReviveEvent, JoinEvent, LeaveEvent,
-                                    MessageDelayEvent, MessageDropEvent,
-                                    SwarmConfig, UNBOUNDED_QUEUE)
+from repro.simulation.network import RSSI_GOOD, RSSI_POOR
+from repro.simulation.swarm import SwarmConfig, UNBOUNDED_QUEUE
 from repro.simulation.workload import (FACE_APP, TRANSLATE_APP, Workload,
                                        face_workload, translation_workload)
 
@@ -123,7 +122,7 @@ def joining(app: str = FACE_APP, duration: float = 30.0, seed: int = 0,
         policy="LRS",
         duration=duration,
         seed=seed,
-        joins=(JoinEvent(time=join_time, device_id=joiner_id),),
+        faults=(FaultEvent(join_time, CHURN_JOIN, joiner_id),),
     )
 
 
@@ -138,7 +137,7 @@ def leaving(app: str = FACE_APP, duration: float = 35.0, seed: int = 0,
         policy="LRS",
         duration=duration,
         seed=seed,
-        leaves=(LeaveEvent(time=leave_time, device_id=leaver_id),),
+        faults=(FaultEvent(leave_time, CHURN_DISCONNECT, leaver_id),),
     )
 
 
@@ -169,18 +168,17 @@ def fault_injection(app: str = FACE_APP, policy: str = "LRS",
                               % ", ".join(unknown))
     if len(kill_ids) >= len(list(worker_ids)):
         raise SimulationError("at least one worker must survive the faults")
-    faults: list = [DeviceKillEvent(time=kill_time, device_id=device_id)
-                    for device_id in kill_ids]
+    faults = [FaultEvent(kill_time, CHURN_KILL, device_id)
+              for device_id in kill_ids]
     if revive_time is not None:
-        faults.extend(DeviceReviveEvent(time=revive_time,
-                                        device_id=device_id)
+        faults.extend(FaultEvent(revive_time, CHURN_REJOIN, device_id)
                       for device_id in kill_ids)
     if drop_window is not None:
-        faults.append(MessageDropEvent(time=kill_time, duration=drop_window,
-                                       drop_prob=0.5))
+        faults.append(FaultEvent(kill_time, CHAOS_DROP, ALL_DEVICES,
+                                 duration=drop_window, value=0.5))
     if delay_window is not None:
-        faults.append(MessageDelayEvent(time=kill_time, duration=delay_window,
-                                        extra_delay=extra_delay))
+        faults.append(FaultEvent(kill_time, CHAOS_DELAY, ALL_DEVICES,
+                                 duration=delay_window, value=extra_delay))
     return SwarmConfig(
         workload=workload_for_app(app),
         workers=profiles.worker_profiles(list(worker_ids)),
@@ -226,14 +224,17 @@ def overload(app: str = FACE_APP, policy: str = "LRS",
     worker_ids = list(worker_ids)
     if not 0.0 < overload_until < duration:
         raise SimulationError("overload_until must fall inside the run")
-    faults: list = []
+    # The background apps run from the start until *overload_until*.
+    faults = [FaultEvent(0.0, LOAD_BURST, device_id,
+                         duration=overload_until, value=background)
+              for device_id in worker_ids]
     if kill_id is not None:
         if kill_id not in worker_ids:
             raise SimulationError("cannot kill %r: not in the swarm" % kill_id)
         if not kill_time < revive_time:
             raise SimulationError("revive must come after the kill")
-        faults.append(DeviceKillEvent(time=kill_time, device_id=kill_id))
-        faults.append(DeviceReviveEvent(time=revive_time, device_id=kill_id))
+        faults.append(FaultEvent(kill_time, CHURN_KILL, kill_id))
+        faults.append(FaultEvent(revive_time, CHURN_REJOIN, kill_id))
     return SwarmConfig(
         workload=workload_for_app(app),
         workers=profiles.worker_profiles(worker_ids),
@@ -241,11 +242,6 @@ def overload(app: str = FACE_APP, policy: str = "LRS",
         policy=policy,
         duration=duration,
         seed=seed,
-        background_load={device_id: background for device_id in worker_ids},
-        background_events=tuple(
-            BackgroundLoadEvent(time=overload_until, device_id=device_id,
-                                load=0.0)
-            for device_id in worker_ids),
         thermal_throttling=False,
         ack_timeout=ack_timeout,
         dead_after=dead_after,
@@ -253,6 +249,36 @@ def overload(app: str = FACE_APP, policy: str = "LRS",
         overload=OverloadConfig(ttl=ttl, queue_capacity=queue_capacity,
                                 drop_policy=drop_policy),
     )
+
+
+def churn_schedule(seed: int, device_ids: Sequence[str], duration: float,
+                   start_after: float = 5.0, settle: float = 8.0
+                   ) -> Tuple[FaultEvent, ...]:
+    """Deterministic kill/leave + rejoin story for *device_ids*.
+
+    Each device departs once — abruptly (kill) or gracefully (leave),
+    chosen by the seeded RNG at even odds — and rejoins after a seeded
+    3-6 s gap.  All events land inside ``[start_after,
+    duration - settle]`` so the tail of the run can recover and be
+    measured.  Events come back ordered by (time, device).
+    """
+    if duration <= start_after + settle:
+        raise RuntimeStateError("duration too short for churn window "
+                                "(need > start_after + settle)")
+    rng = random.Random(seed)
+    window_end = duration - settle
+    events: List[FaultEvent] = []
+    for device_id in sorted(device_ids):
+        depart_at = rng.uniform(start_after,
+                                max(start_after + 0.1, window_end - 6.0))
+        action = CHURN_KILL if rng.random() < 0.5 else CHURN_LEAVE
+        gap = rng.uniform(3.0, 6.0)
+        rejoin_at = min(window_end, depart_at + gap)
+        events.append(FaultEvent(round(depart_at, 3), action, device_id))
+        events.append(FaultEvent(round(rejoin_at, 3), CHURN_REJOIN,
+                                 device_id))
+    return tuple(sorted(events, key=lambda event: (event.time,
+                                                   event.target)))
 
 
 def churn(app: str = FACE_APP, policy: str = "LRS",
@@ -289,9 +315,9 @@ def churn(app: str = FACE_APP, policy: str = "LRS",
                               % ", ".join(unknown))
     if len(churner_ids) >= len(worker_ids):
         raise SimulationError("at least one worker must survive the churn")
-    schedule = ChurnSchedule.generate(seed=seed, device_ids=churner_ids,
-                                      duration=duration,
-                                      start_after=start_after, settle=settle)
+    schedule = churn_schedule(seed=seed, device_ids=churner_ids,
+                              duration=duration, start_after=start_after,
+                              settle=settle)
     delivery = DeliveryConfig(
         mode=AT_LEAST_ONCE if at_least_once else BEST_EFFORT,
         replay_capacity=replay_capacity,
@@ -308,7 +334,7 @@ def churn(app: str = FACE_APP, policy: str = "LRS",
         dead_after=dead_after,
         detection_delay=detection_delay,
         delivery=delivery,
-        churn=schedule,
+        faults=schedule,
     )
 
 
@@ -347,12 +373,6 @@ def failover(app: str = FACE_APP, policy: str = "LRS",
         raise SimulationError("the outage must end %.1fs before the run"
                               " does, so recovery can be judged" % settle)
     master_id = profiles.SOURCE_ID
-    schedule = ChurnSchedule(events=(
-        ChurnEvent(time=kill_time, action=CHURN_KILL_MASTER,
-                   device_id=master_id),
-        ChurnEvent(time=restart_time, action=CHURN_RESTART_MASTER,
-                   device_id=master_id),
-    ), seed=seed)
     delivery = DeliveryConfig(
         mode=AT_LEAST_ONCE if at_least_once else BEST_EFFORT,
         replay_capacity=replay_capacity,
@@ -369,7 +389,8 @@ def failover(app: str = FACE_APP, policy: str = "LRS",
         dead_after=dead_after,
         detection_delay=detection_delay,
         delivery=delivery,
-        churn=schedule,
+        faults=(FaultEvent(kill_time, CHURN_KILL_MASTER, master_id),
+                FaultEvent(restart_time, CHURN_RESTART_MASTER, master_id)),
     )
 
 

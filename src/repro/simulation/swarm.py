@@ -23,7 +23,9 @@ latency-based routing exist to avoid.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro import metrics as metrics_mod
@@ -31,11 +33,14 @@ from repro.core import multitenant as multitenant_mod
 from repro.core import overload as overload_mod
 from repro.core.batching import BatchConfig
 from repro.core.controller import LrsController, PolicyConfig
-from repro.core.delivery import (CHURN_HEAL, CHURN_KILL, CHURN_KILL_MASTER,
-                                 CHURN_LEAVE, CHURN_PARTITION,
-                                 CHURN_RESTART_MASTER, ChurnSchedule,
-                                 DedupWindow, DeliveryConfig, EVICT_SHED)
+from repro.core.delivery import DedupWindow, DeliveryConfig, EVICT_SHED
 from repro.core.exceptions import RuntimeStateError, SimulationError
+from repro.core.faults import (ALL_DEVICES, CHAOS_DELAY, CHAOS_DROP,
+                               CHURN_DISCONNECT, CHURN_HEAL, CHURN_JOIN,
+                               CHURN_KILL, CHURN_KILL_MASTER, CHURN_LEAVE,
+                               CHURN_PARTITION, CHURN_REJOIN,
+                               CHURN_RESTART_MASTER, LOAD_BURST, FaultEvent,
+                               validate_membership)
 from repro.core.keyed import (KeyedConfig, KeyRange, KeyRangeTable,
                               MOVE_CRASH, MOVE_DRAIN, MOVE_HOT_SPLIT,
                               hash_key, zipf_weights)
@@ -68,86 +73,6 @@ UNBOUNDED_QUEUE = 0
 #: period, estimator window, failure-detection thresholds): the
 #: simulator's knobs default to exactly what the runtime uses
 _POLICY_DEFAULTS = PolicyConfig()
-
-
-@dataclass(frozen=True)
-class JoinEvent:
-    """A device launching Swing and joining mid-run (paper Sec. VI-C)."""
-
-    time: float
-    device_id: str
-    rssi: float = RSSI_GOOD
-
-
-@dataclass(frozen=True)
-class LeaveEvent:
-    """A device abruptly terminating Swing mid-run (paper Sec. VI-C)."""
-
-    time: float
-    device_id: str
-
-
-@dataclass(frozen=True)
-class DeviceKillEvent:
-    """A device dying *silently*: no LEAVE, no link-break notification.
-
-    Unlike :class:`LeaveEvent` (whose broken connection the upstream
-    notices after ``detection_delay``), a silent kill is only detectable
-    through loss accounting: tuples routed to the dead device expire,
-    its ``lost_count`` grows, and the tracker marks it dead after
-    ``dead_after`` expiry rounds.  This is the fault-injection hook the
-    failure-detection subsystem is tested against.
-    """
-
-    time: float
-    device_id: str
-
-
-@dataclass(frozen=True)
-class DeviceReviveEvent:
-    """A silently-killed device coming back online."""
-
-    time: float
-    device_id: str
-    rssi: float = RSSI_GOOD
-
-
-@dataclass(frozen=True)
-class MessageDropEvent:
-    """Drop (a fraction of) messages involving a device for a window."""
-
-    time: float
-    duration: float
-    drop_prob: float = 1.0
-    device_id: Optional[str] = None  # None = every device
-
-    def active(self, now: float, device_id: str) -> bool:
-        return (self.time <= now < self.time + self.duration
-                and (self.device_id is None or self.device_id == device_id))
-
-
-@dataclass(frozen=True)
-class MessageDelayEvent:
-    """Add latency to messages involving a device for a window."""
-
-    time: float
-    duration: float
-    extra_delay: float
-    device_id: Optional[str] = None  # None = every device
-
-    def active(self, now: float, device_id: str) -> bool:
-        return (self.time <= now < self.time + self.duration
-                and (self.device_id is None or self.device_id == device_id))
-
-
-@dataclass(frozen=True)
-class BackgroundLoadEvent:
-    """Another app starting/stopping on a device mid-run (paper Sec. III:
-    dynamism from 'changes in applications running in the devices')."""
-
-    time: float
-    device_id: str
-    load: float  # new background CPU load in [0, 1]
 
 
 @dataclass
@@ -185,9 +110,6 @@ class SwarmConfig:
     #: sustained-load thermal throttling (set False to disable, e.g. for
     #: the short single-device characterization runs)
     thermal_throttling: bool = True
-    joins: Sequence[JoinEvent] = ()
-    leaves: Sequence[LeaveEvent] = ()
-    background_events: Sequence[BackgroundLoadEvent] = ()
     mobility: Optional[MobilityPlan] = None
     reorder_timespan: float = 1.0
     #: in-flight tuples older than this are charged as lost
@@ -195,9 +117,10 @@ class SwarmConfig:
     #: consecutive expiry rounds without an ACK before a downstream is
     #: marked dead (the tracker's failure-detection threshold)
     dead_after: int = _POLICY_DEFAULTS.dead_after
-    #: fault-injection schedule: DeviceKillEvent / DeviceReviveEvent /
-    #: MessageDropEvent / MessageDelayEvent instances
-    faults: Sequence = ()
+    #: every fault of the run — joins, departures, master outages,
+    #: partitions, message drop/delay windows and load bursts — in the
+    #: one vocabulary the runtime harness and the verifier share
+    faults: Tuple[FaultEvent, ...] = ()
     #: overload-protection knobs (TTL, bounded worker ingress queues,
     #: source admission control) shared verbatim with the threaded
     #: runtime; ``None`` keeps every mechanism off
@@ -209,9 +132,6 @@ class SwarmConfig:
     #: delivery-semantics knobs (at-least-once replay, sink dedup) shared
     #: verbatim with the threaded runtime; ``None`` keeps best-effort
     delivery: Optional[DeliveryConfig] = None
-    #: seeded churn schedule (join/leave/kill/rejoin) consumed
-    #: identically by this simulator and the runtime chaos harness
-    churn: Optional[ChurnSchedule] = None
     #: data-plane batching knobs shared verbatim with the threaded
     #: runtime; ``None`` (or ``max_tuples=1``) keeps per-tuple dispatch
     batching: Optional[BatchConfig] = None
@@ -269,10 +189,14 @@ class SwarmConfig:
                             batching=self.batching,
                             keyed=self.keyed)
 
-    def resolved_source_queue(self) -> Optional[int]:
-        """Source queue capacity for the engine (None = unbounded)."""
+    def resolved_source_queue(self, input_rate: Optional[float] = None
+                              ) -> Optional[int]:
+        """Source queue capacity for the engine (None = unbounded); 2 s
+        of *input_rate* (default: the workload's) unless set."""
         if self.source_queue_frames is None:
-            return max(1, int(round(2.0 * self.workload.input_rate)))
+            rate = (input_rate if input_rate is not None
+                    else self.workload.input_rate)
+            return max(1, int(round(2.0 * rate)))
         if self.source_queue_frames == UNBOUNDED_QUEUE:
             return None
         if self.source_queue_frames < 0:
@@ -302,17 +226,15 @@ class SwarmConfig:
         if not 0.0 <= self.trace_sample_rate <= 1.0:
             raise SimulationError("trace sample rate must be in [0, 1]")
         for fault in self.faults:
-            if not isinstance(fault, (DeviceKillEvent, DeviceReviveEvent,
-                                      MessageDropEvent, MessageDelayEvent)):
+            if not isinstance(fault, FaultEvent):
                 raise SimulationError("unknown fault event %r" % (fault,))
-        if not self.workers and not self.joins:
+        if not self.workers and not any(fault.action == CHURN_JOIN
+                                        for fault in self.faults):
             raise SimulationError("a swarm needs at least one worker")
-        for event in self.joins:
-            if event.device_id in self.workers:
-                raise SimulationError(
-                    "device %s both initial and joining" % event.device_id)
-        if self.churn is not None:
-            self.churn.validate(set(self.workers))
+        try:
+            validate_membership(self.faults, self.workers)
+        except RuntimeStateError as exc:
+            raise SimulationError(str(exc)) from exc
         if self.keyed is not None:
             self.keyed.validate()
             if self.keyed.key_count > 0 and self.batching_config().enabled:
@@ -574,6 +496,10 @@ class SwarmSimulation:
         self._departed: Dict[str, _WorkerNode] = {}
         #: measured graceful-drain duration per departed device
         self.drain_durations: Dict[str, float] = {}
+        #: key hash -> count of keyed frames committed to a destination
+        #: but not yet in its ingress (awaiting a credit, on the air,
+        #: delayed); a range hand-off must wait for them too
+        self._keyed_in_transit: Dict[str, Counter] = defaultdict(Counter)
         # -- master-outage mirror (churn kill_master / restart_master):
         # while the master is down its source, dispatcher, control loop
         # and sink are all frozen; workers keep draining their ingress
@@ -600,6 +526,14 @@ class SwarmSimulation:
             for weight in zipf_weights(keyed.key_count, keyed.zipf_alpha):
                 total += weight
                 self._key_cum.append(total)
+        #: (start, end, drop?, value) message windows per device, indexed
+        #: once per run; swarm-wide ones sit in every list in config order
+        #: (the ``faults`` RNG draw order) and alone in ``_swarm_windows``
+        self._windows: Dict[str, List[Tuple[float, float, bool, float]]] = {}
+        self._swarm_windows: List[Tuple[float, float, bool, float]] = []
+        #: load_burst windows per device, in config order
+        self._bursts: Dict[str, List[FaultEvent]] = {}
+        self._index_windows()
         self._build()
 
     def _make_tenant_state(self, spec) -> _TenantState:
@@ -634,7 +568,8 @@ class SwarmSimulation:
                         if self.delivery.at_least_once else None),
             tenant=tenant_id)
         egress = Store(self.sim,
-                       capacity=self._egress_capacity(workload),
+                       capacity=config.resolved_source_queue(
+                           workload.input_rate),
                        name=egress_name)
         reorder = ReorderBuffer.for_rate(workload.input_rate,
                                          timespan=config.reorder_timespan)
@@ -648,16 +583,6 @@ class SwarmSimulation:
                             reorder=reorder, dedup=dedup,
                             arrivals_stream=arrivals_stream,
                             keys_stream=keys_stream)
-
-    def _egress_capacity(self, workload: Workload) -> Optional[int]:
-        """Source egress capacity for one tenant's queue (None = unbounded)."""
-        if self.config.source_queue_frames is None:
-            return max(1, int(round(2.0 * workload.input_rate)))
-        if self.config.source_queue_frames == UNBOUNDED_QUEUE:
-            return None
-        if self.config.source_queue_frames < 0:
-            raise SimulationError("source queue length must be >= 0")
-        return self.config.source_queue_frames
 
     # -- tenant routing ---------------------------------------------------
     def _controller_for(self, tenant: str) -> LrsController:
@@ -709,68 +634,54 @@ class SwarmSimulation:
             self.sim.process(self._dispatch(state),
                              name="dispatcher" + suffix)
         self.sim.process(self._control(), name="control")
-        for join in config.joins:
-            self.sim.schedule(join.time, self._make_join(join))
-        for leave in config.leaves:
-            self.sim.schedule(leave.time,
-                              lambda device_id=leave.device_id:
-                              self._remove_worker(device_id))
-        for event in config.background_events:
-            self.sim.schedule(event.time,
-                              lambda event=event:
-                              self._set_background_load(event.device_id,
-                                                        event.load))
         if config.mobility is not None:
             for when, device_id, rssi in config.mobility.events():
                 self.sim.schedule(
                     when, lambda device_id=device_id, rssi=rssi:
                     self._set_rssi(device_id, rssi))
-        for fault in config.faults:
-            if isinstance(fault, DeviceKillEvent):
-                self.sim.schedule(fault.time,
-                                  lambda fault=fault:
-                                  self._kill_worker(fault.device_id))
-            elif isinstance(fault, DeviceReviveEvent):
-                self.sim.schedule(fault.time,
-                                  lambda fault=fault:
-                                  self._revive_worker(fault.device_id,
-                                                      fault.rssi))
-            # Message drop/delay windows are consulted at delivery time.
-        if config.churn is not None:
-            # The same schedule the runtime chaos harness replays: kills
-            # are silent crashes, leaves run the graceful-drain protocol,
-            # joins/rejoins bring the device back at a good signal.
-            for event in config.churn:
-                if event.action == CHURN_KILL:
-                    self.sim.schedule(event.time,
-                                      lambda d=event.device_id:
-                                      self._kill_worker(d))
-                elif event.action == CHURN_LEAVE:
-                    self.sim.schedule(event.time,
-                                      lambda d=event.device_id:
-                                      self._begin_drain(d))
-                elif event.action == CHURN_KILL_MASTER:
-                    self.sim.schedule(event.time, self._kill_master)
-                elif event.action == CHURN_RESTART_MASTER:
-                    self.sim.schedule(event.time, self._restart_master)
-                elif event.action == CHURN_PARTITION:
-                    self.sim.schedule(event.time,
-                                      lambda d=event.device_id:
-                                      self._partition_link(d))
-                elif event.action == CHURN_HEAL:
-                    self.sim.schedule(event.time,
-                                      lambda d=event.device_id:
-                                      self._heal_link(d))
-                else:  # CHURN_JOIN / CHURN_REJOIN
-                    self.sim.schedule(event.time,
-                                      lambda d=event.device_id:
-                                      self._revive_worker(d, RSSI_GOOD))
+        # One table from fault action to handler.  Message drop/delay
+        # windows are consulted at delivery time (_message_fault); the
+        # duplicate/corrupt windows are codec-level nemeses with no
+        # discrete-event mirror (the engine has no byte wire).
+        handlers = {
+            CHURN_JOIN: self._join_worker,
+            CHURN_REJOIN: self._join_worker,
+            CHURN_KILL: self._kill_worker,
+            CHURN_DISCONNECT: self._disconnect_worker,
+            CHURN_LEAVE: self._begin_drain,
+            CHURN_KILL_MASTER: lambda _master_id: self._kill_master(),
+            CHURN_RESTART_MASTER: lambda _master_id: self._restart_master(),
+            CHURN_PARTITION: self._partition_link,
+            CHURN_HEAL: self._heal_link,
+            LOAD_BURST: self._set_background_load,
+        }
+        for event in config.faults:
+            handler = handlers.get(event.action)
+            if handler is None:
+                continue
+            self.sim.schedule(event.time, partial(handler, event.target))
+            if event.action == LOAD_BURST:
+                self.sim.schedule(event.end, partial(handler, event.target))
 
-    def _make_join(self, join: JoinEvent):
-        def _do_join() -> None:
-            profile = self._profile_for(join.device_id)
-            self._add_worker(profile, join.rssi)
-        return _do_join
+    def _index_windows(self) -> None:
+        for event in self.config.faults:
+            if event.action == LOAD_BURST:
+                self._bursts.setdefault(event.target, []).append(event)
+                continue
+            if event.action not in (CHAOS_DROP, CHAOS_DELAY):
+                continue
+            entry = (event.time, event.end, event.action == CHAOS_DROP,
+                     event.value)
+            if event.target == ALL_DEVICES:
+                self._swarm_windows.append(entry)
+                for windows in self._windows.values():
+                    windows.append(entry)
+                continue
+            devices = (self._link_devices(event.target)
+                       if ">" in event.target else [event.target])
+            for device_id in devices:
+                self._windows.setdefault(
+                    device_id, list(self._swarm_windows)).append(entry)
 
     def _profile_for(self, device_id: str) -> DeviceProfile:
         if device_id in self._all_profiles:
@@ -781,64 +692,54 @@ class SwarmSimulation:
 
     def _add_worker(self, profile: DeviceProfile, rssi: float) -> None:
         device_id = profile.device_id
-        if device_id in self.nodes:
-            raise SimulationError("device %s already in the swarm" % device_id)
         self._all_profiles[device_id] = profile
         if device_id in self.network.device_ids():
             self.network.reattach(device_id, rssi=rssi)
         else:
             self.network.attach(device_id, rssi=rssi)
-        background = self.config.background_load.get(device_id, 0.0)
-        node = _WorkerNode(self, profile, background)
+        node = _WorkerNode(self, profile, self._background_load(device_id))
         self.nodes[device_id] = node
         self._departed.pop(device_id, None)
         self.metrics.device(device_id)
         # Pool-level membership: every tenant's control plane sees the
-        # same worker set (one swarm, N pipelines).
+        # same worker set (one swarm, N pipelines).  A returning member
+        # is a no-op here: a dead-marked entry stays dead until a probe's
+        # ACK resurrects it.
         for state in self._states.values():
             state.controller.add_downstream(device_id)
 
-    def _remove_worker(self, device_id: str) -> None:
-        node = self.nodes.pop(device_id, None)
-        if node is None:
-            return
+    def _join_worker(self, device_id: str) -> None:
+        """A device launching Swing mid-run, or a departed one coming
+        back, at a good signal (paper Sec. VI-C)."""
+        if device_id not in self.nodes:
+            self._add_worker(self._profile_for(device_id), RSSI_GOOD)
+
+    def _detach(self, node: _WorkerNode) -> None:
+        """Take *node* out of the swarm and off the network."""
+        del self.nodes[node.device_id]
         node.alive = False
         node.left_at = self.sim.now
-        self._departed[device_id] = node
+        self._departed[node.device_id] = node
         node.process.kill()
-        self.network.detach(device_id)
-        if node.current_seq is not None:
-            self._drop_unless_retained(node.current_seq, DROP_DEVICE_LEFT)
-        for frame in node.ingress.drain():
-            self._drop_unless_retained(frame.seq, DROP_DEVICE_LEFT)
-        # Unblock a dispatcher head-of-line-blocked on this connection.
-        for _ in range(self.config.window_frames()):
-            node.credits.try_put(True)
-        # The upstream only notices the broken connection after a delay,
-        # during which it keeps routing tuples into the void (Sec. VI-C).
-        self.sim.schedule(self.config.detection_delay,
-                          lambda: self._on_link_break(device_id))
+        self.network.detach(node.device_id)
 
     def _on_link_break(self, device_id: str) -> None:
         for state in self._states.values():
             state.controller.remove_downstream(device_id)
 
     # -- fault injection -------------------------------------------------
-    def _kill_worker(self, device_id: str) -> None:
+    def _kill_worker(self, device_id: str) -> bool:
         """Silent crash: the upstream gets no notification of any kind.
 
         Tuples keep flowing to the dead device and into the void until
         loss accounting (expired in-flight entries) marks it dead —
-        exercising the failure-detection path end to end.
+        exercising the failure-detection path end to end.  Returns
+        whether the device was in the swarm.
         """
-        node = self.nodes.pop(device_id, None)
+        node = self.nodes.get(device_id)
         if node is None:
-            return
-        node.alive = False
-        node.left_at = self.sim.now
-        self._departed[device_id] = node
-        node.process.kill()
-        self.network.detach(device_id)
+            return False
+        self._detach(node)
         if node.current_seq is not None:
             self._drop_unless_retained(node.current_seq, DROP_DEVICE_LEFT)
         for frame in node.ingress.drain():
@@ -846,28 +747,18 @@ class SwarmSimulation:
         # Unblock a dispatcher head-of-line-blocked on this connection.
         for _ in range(self.config.window_frames()):
             node.credits.try_put(True)
-        # Deliberately NO _on_link_break here: detection must come from
-        # the tracker, not from a control-plane notification.
+        return True
 
-    def _revive_worker(self, device_id: str, rssi: float) -> None:
-        """A killed device rejoining; probing resurrects its tracker state."""
-        if device_id in self.nodes:
-            return
-        profile = self._profile_for(device_id)
-        self._all_profiles[device_id] = profile
-        if device_id in self.network.device_ids():
-            self.network.reattach(device_id, rssi=rssi)
-        else:
-            self.network.attach(device_id, rssi=rssi)
-        background = self.config.background_load.get(device_id, 0.0)
-        node = _WorkerNode(self, profile, background)
-        self.nodes[device_id] = node
-        self._departed.pop(device_id, None)
-        self.metrics.device(device_id)
-        # No-op if still a member; a dead-marked member stays dead until
-        # a probe's ACK resurrects it.
-        for state in self._states.values():
-            state.controller.add_downstream(device_id)
+    def _disconnect_worker(self, device_id: str) -> None:
+        """A device abruptly terminating Swing (paper Sec. VI-C).
+
+        Unlike a silent kill, the connection breaks: the upstream
+        notices after ``detection_delay``, during which it keeps routing
+        tuples into the void.
+        """
+        if self._kill_worker(device_id):
+            self.sim.schedule(self.config.detection_delay,
+                              lambda: self._on_link_break(device_id))
 
     # -- graceful drain (LEAVING protocol) -------------------------------
     def _begin_drain(self, device_id: str) -> None:
@@ -917,12 +808,7 @@ class SwarmSimulation:
                                                target, MOVE_DRAIN)
         if self.nodes.get(device_id) is not node:
             return  # superseded (e.g. rejoined under the same id)
-        del self.nodes[device_id]
-        node.alive = False
-        node.left_at = self.sim.now
-        self._departed[device_id] = node
-        node.process.kill()
-        self.network.detach(device_id)
+        self._detach(node)
         # No drops and no link-break notification: a graceful leave has
         # nothing left to lose by construction.
 
@@ -965,12 +851,10 @@ class SwarmSimulation:
         so severing a link isolates its non-source endpoint: every
         message involving that device drops until the matching ``heal``.
         """
-        for device_id in self._link_devices(link_id):
-            self._partitioned.add(device_id)
+        self._partitioned.update(self._link_devices(link_id))
 
     def _heal_link(self, link_id: str) -> None:
-        for device_id in self._link_devices(link_id):
-            self._partitioned.discard(device_id)
+        self._partitioned.difference_update(self._link_devices(link_id))
 
     def _link_devices(self, link_id: str) -> List[str]:
         sender_id, sep, target_id = link_id.partition(">")
@@ -1014,6 +898,7 @@ class SwarmSimulation:
         # is a fresh control-plane-initiated send, and ``try_put``
         # saturates at the window size, so the eventual credit return
         # cannot overfill the store.
+        self._count_in_transit(frame, destination, 1)
         source_radio = self.network.radio(self.config.source.device_id)
         delivered = source_radio.connection(link).send(
             self.config.workload.frame_bytes)
@@ -1069,25 +954,39 @@ class SwarmSimulation:
         """(drop?, extra delay) for a message involving *device_id* now."""
         if device_id in self._partitioned:
             return True, 0.0
+        windows = self._windows.get(device_id, self._swarm_windows)
+        if not windows:
+            return False, 0.0
         now = self.sim.now
         extra_delay = 0.0
-        for fault in self.config.faults:
-            if isinstance(fault, MessageDropEvent) \
-                    and fault.active(now, device_id):
-                if self.rngs.stream("faults").random() < fault.drop_prob:
+        for start, end, drop, value in windows:
+            if start <= now < end:
+                if not drop:
+                    extra_delay += value
+                elif self.rngs.stream("faults").random() < value:
                     return True, 0.0
-            elif isinstance(fault, MessageDelayEvent) \
-                    and fault.active(now, device_id):
-                extra_delay += fault.extra_delay
         return False, extra_delay
 
     def _set_rssi(self, device_id: str, rssi: float) -> None:
         self.network.link(device_id).set_rssi(rssi)
 
-    def _set_background_load(self, device_id: str, load: float) -> None:
+    def _background_load(self, device_id: str) -> float:
+        """*device_id*'s background CPU load now: the value of an active
+        load_burst window on it, else its configured baseline."""
+        load = self.config.background_load.get(device_id, 0.0)
+        now = self.sim.now
+        for burst in self._bursts.get(device_id, ()):
+            if burst.time <= now < burst.end:
+                load = burst.value
+        return load
+
+    def _set_background_load(self, device_id: str) -> None:
+        """A load_burst edge: another app starting or stopping on the
+        device (paper Sec. III: dynamism from 'changes in applications
+        running in the devices')."""
         node = self.nodes.get(device_id)
         if node is not None:
-            node.cpu.set_background_load(load)
+            node.cpu.set_background_load(self._background_load(device_id))
 
     # -- keyed state & migration -----------------------------------------
     def _draw_key(self, state: _TenantState) -> Optional[str]:
@@ -1157,9 +1056,10 @@ class SwarmSimulation:
     def _drain_range(self, device_id: str, key_range: KeyRange):
         """Wait until the old owner holds no in-flight frame of the range.
 
-        Pausing already stopped new sends; whatever is queued or on the
-        wire clears within a few poll ticks.  Two consecutive quiet
-        polls guard against a frame landing between checks.
+        Pausing already stopped new sends; whatever is queued, in
+        transit or being processed clears within a few poll ticks.  Two
+        consecutive quiet polls guard against a frame landing between
+        checks.
         """
         quiet = 0
         while quiet < 2:
@@ -1172,6 +1072,9 @@ class SwarmSimulation:
             current = node.current_frame
             if current is not None and current.key_hash is not None \
                     and key_range.contains(current.key_hash):
+                busy = True
+            if any(count and key_range.contains(key_hash) for key_hash, count
+                   in self._keyed_in_transit[device_id].items()):
                 busy = True
             quiet = 0 if busy else quiet + 1
             yield self.sim.timeout(0.05)
@@ -1388,10 +1291,12 @@ class SwarmSimulation:
             # (unless the replay buffer still retains it).
             self._drop_unless_retained(frame.seq, DROP_LINK_DOWN)
             return
+        self._count_in_transit(frame, destination, 1)
         # Blocking socket write: wait for a window slot on this
         # connection, head-of-line blocking every frame behind us.
         yield node.credits.get()
         if not node.alive:
+            self._count_in_transit(frame, destination, -1)
             self._drop_unless_retained(frame.seq, DROP_DEVICE_LEFT)
             return
         record.tx_started_at = self.sim.now
@@ -1425,11 +1330,19 @@ class SwarmSimulation:
         if node is not None:
             node.credits.try_put(True)
 
+    def _count_in_transit(self, frame: _Frame, destination: str,
+                          step: int) -> None:
+        """Count a keyed frame onto (+1) or off (-1) its way to
+        *destination*; stateless frames are not tracked."""
+        if frame.key_hash is not None:
+            self._keyed_in_transit[destination][frame.key_hash] += step
+
     def _on_frame_delivered(self, frame: _Frame, destination: str) -> None:
         dropped, extra_delay = self._message_fault(destination)
         if dropped:
             # Faulted away in flight; the tracker's pending entry will
             # expire and charge the loss to this destination.
+            self._count_in_transit(frame, destination, -1)
             self._drop_unless_retained(frame.seq, DROP_LINK_DOWN)
             self._return_credit(destination)
             return
@@ -1441,6 +1354,7 @@ class SwarmSimulation:
         self._finish_frame_delivery(frame, destination)
 
     def _finish_frame_delivery(self, frame: _Frame, destination: str) -> None:
+        self._count_in_transit(frame, destination, -1)
         record = self.metrics.frame(frame.seq, frame.created_at)
         node = self.nodes.get(destination)
         link = self.network.link(destination)

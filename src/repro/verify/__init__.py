@@ -4,12 +4,10 @@
 adversarial harness:
 
 ``schedule``
-    A :class:`FaultSchedule` vocabulary unifying every nemesis the
-    repo already has — worker kill / graceful drain / rejoin, master
-    kill+restart, link partition/heal, seeded drop / delay / duplicate
-    / corrupt windows, background-load bursts, keyed hot-range
-    migration and multi-tenant overload — generated from one seed with
-    validated composition rules.
+    A seeded :class:`FaultSchedule` of core
+    :class:`~repro.core.faults.FaultEvent` values (every nemesis the
+    repo has) plus a keyed / multi-tenant run profile, with validated
+    composition rules.
 ``invariants``
     A :class:`RunHistory` normal form plus an :class:`InvariantChecker`
     over the guarantees the repo claims: tuple conservation,
@@ -17,9 +15,9 @@ adversarial harness:
     monotonicity, keyed-state integrity, bounded queues and tenant
     isolation.
 ``adapters``
-    One adapter per substrate mapping a schedule onto the
-    discrete-event simulator and the threaded runtime and normalising
-    each run into a :class:`RunHistory`.
+    One adapter per substrate: builds its configuration from the
+    schedule's profile and normalises the run into a
+    :class:`RunHistory`.
 ``explorer``
     The sweep loop behind ``swing verify``: N seeded schedules, each
     checked on both substrates; a failing schedule is shrunk

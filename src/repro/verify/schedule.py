@@ -1,23 +1,15 @@
 """Seeded fault schedules: one nemesis vocabulary for both substrates.
 
 A :class:`FaultSchedule` is a validated, replayable composition of every
-fault the repo can inject, generated deterministically from a seed.  It
-extends the membership-only :class:`~repro.core.delivery.ChurnSchedule`
-with *windowed* nemeses (message drop / delay / duplicate / corrupt,
-background-load bursts) and a :class:`RunProfile` selecting the keyed /
-multi-tenant workload shape the faults compose against.
+fault the repo can inject, generated deterministically from a seed.  It adds
+the composition rules, a :class:`ScheduleSpec` it is drawn from and a
+:class:`RunProfile` selecting the keyed / multi-tenant workload shape
+the faults compose against.
 
-Events come in two shapes:
-
-- **point events** reuse the churn vocabulary (``kill`` / ``leave`` /
-  ``rejoin`` / ``kill_master`` / ``restart_master`` / ``partition`` /
-  ``heal``) and project onto a plain ``ChurnSchedule`` via
-  :meth:`FaultSchedule.churn_view` — the projection both substrates
-  already consume.
-- **window events** (``chaos_*`` / ``load_burst``) carry a duration and
-  an intensity; the simulator maps them onto its fault mirror
-  (``MessageDropEvent`` …) and the runtime onto per-link
-  :class:`~repro.runtime.chaos.LinkChaos` settings.
+Events are :class:`~repro.core.faults.FaultEvent` values, the one
+vocabulary both substrates consume natively: point events (membership,
+master outages, partitions) and windowed nemeses (message drop / delay /
+duplicate / corrupt, background-load bursts).
 
 Every event belongs to an **atom** — the smallest unit that can be
 removed while keeping the schedule coherent (a departure travels with
@@ -34,88 +26,20 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from dataclasses import asdict, dataclass, field
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
-from repro.core.delivery import (CHURN_HEAL, CHURN_JOIN, CHURN_KILL,
-                                 CHURN_KILL_MASTER, CHURN_LEAVE,
-                                 CHURN_PARTITION, CHURN_REJOIN,
-                                 CHURN_RESTART_MASTER, ChurnEvent,
-                                 ChurnSchedule)
 from repro.core.exceptions import RuntimeStateError
-
-#: windowed nemeses (duration > 0; ``value`` is the intensity)
-CHAOS_DROP = "chaos_drop"            # drop probability on one link
-CHAOS_DELAY = "chaos_delay"          # extra per-message delay (seconds)
-CHAOS_DUPLICATE = "chaos_duplicate"  # duplicate probability (runtime codec)
-CHAOS_CORRUPT = "chaos_corrupt"      # bit-flip probability (runtime codec)
-LOAD_BURST = "load_burst"            # background CPU load on one worker
-
-_POINT_ACTIONS = frozenset({CHURN_JOIN, CHURN_KILL, CHURN_LEAVE,
-                            CHURN_REJOIN, CHURN_KILL_MASTER,
-                            CHURN_RESTART_MASTER, CHURN_PARTITION,
-                            CHURN_HEAL})
-_WINDOW_ACTIONS = frozenset({CHAOS_DROP, CHAOS_DELAY, CHAOS_DUPLICATE,
-                             CHAOS_CORRUPT, LOAD_BURST})
-_ACTIONS = _POINT_ACTIONS | _WINDOW_ACTIONS
-#: window intensities that are probabilities (bounded to [0, 1])
-_PROBABILITY_ACTIONS = frozenset({CHAOS_DROP, CHAOS_DUPLICATE,
-                                  CHAOS_CORRUPT, LOAD_BURST})
+from repro.core.faults import (CHAOS_CORRUPT, CHAOS_DELAY, CHAOS_DROP,
+                               CHAOS_DUPLICATE, CHURN_HEAL, CHURN_KILL,
+                               CHURN_KILL_MASTER, CHURN_LEAVE,
+                               CHURN_PARTITION, CHURN_REJOIN,
+                               CHURN_RESTART_MASTER, DEPARTURES,
+                               LOAD_BURST, WINDOW_ACTIONS, FaultEvent,
+                               master_outages, partition_heals,
+                               validate_membership)
 
 _SCHEMA_VERSION = 1
-
-
-@dataclass(frozen=True)
-class FaultEvent:
-    """One fault at a point (or over a window) of scenario time."""
-
-    time: float
-    action: str
-    target: str          # device id, master id, or a directed "a>b" link
-    duration: float = 0.0
-    value: float = 0.0
-    atom: int = 0        # shrink unit this event belongs to
-
-    def __post_init__(self) -> None:
-        if self.action not in _ACTIONS:
-            raise RuntimeStateError("unknown fault action %r (want one "
-                                    "of %s)" % (self.action,
-                                                sorted(_ACTIONS)))
-        if self.time < 0:
-            raise RuntimeStateError("fault event time must be >= 0")
-        if not self.target:
-            raise RuntimeStateError("fault event needs a target")
-        if self.action in _WINDOW_ACTIONS:
-            if self.duration <= 0:
-                raise RuntimeStateError("%s window needs a positive "
-                                        "duration" % self.action)
-        elif self.duration:
-            raise RuntimeStateError("%s is a point event; duration must "
-                                    "be 0" % self.action)
-        if self.action in _PROBABILITY_ACTIONS \
-                and not 0.0 <= self.value <= 1.0:
-            raise RuntimeStateError("%s intensity must be in [0, 1], got "
-                                    "%r" % (self.action, self.value))
-        if self.action == CHAOS_DELAY and self.value < 0:
-            raise RuntimeStateError("chaos_delay needs a non-negative "
-                                    "extra delay")
-
-    @property
-    def end(self) -> float:
-        return self.time + self.duration
-
-    def to_dict(self) -> Dict[str, object]:
-        return {"time": self.time, "action": self.action,
-                "target": self.target, "duration": self.duration,
-                "value": self.value, "atom": self.atom}
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "FaultEvent":
-        return cls(time=float(data["time"]), action=str(data["action"]),
-                   target=str(data["target"]),
-                   duration=float(data.get("duration", 0.0)),
-                   value=float(data.get("value", 0.0)),
-                   atom=int(data.get("atom", 0)))
 
 
 @dataclass(frozen=True)
@@ -150,12 +74,7 @@ class ScheduleSpec:
         return self.duration - self.settle
 
     def to_dict(self) -> Dict[str, object]:
-        return {"workers": list(self.workers), "source_id": self.source_id,
-                "duration": self.duration, "start_after": self.start_after,
-                "settle": self.settle, "master_faults": self.master_faults,
-                "partitions": self.partitions, "link_chaos": self.link_chaos,
-                "load_bursts": self.load_bursts, "keyed": self.keyed,
-                "max_tenants": self.max_tenants}
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "ScheduleSpec":
@@ -191,8 +110,7 @@ class RunProfile:
             raise RuntimeStateError("a hot tenant needs >= 2 tenants")
 
     def to_dict(self) -> Dict[str, object]:
-        return {"keyed": self.keyed, "tenant_count": self.tenant_count,
-                "hot_tenant": self.hot_tenant}
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "RunProfile":
@@ -245,17 +163,9 @@ class FaultSchedule:
                    profile=builder.profile)
 
     # -- views -------------------------------------------------------------
-    def churn_view(self) -> ChurnSchedule:
-        """The point events as a plain membership/control schedule."""
-        churn = tuple(ChurnEvent(time=event.time, action=event.action,
-                                 device_id=event.target)
-                      for event in self.events
-                      if event.action in _POINT_ACTIONS)
-        return ChurnSchedule(events=churn, seed=self.seed)
-
     def window_events(self) -> Tuple[FaultEvent, ...]:
         return tuple(event for event in self.events
-                     if event.action in _WINDOW_ACTIONS)
+                     if event.action in WINDOW_ACTIONS)
 
     def end_time(self) -> float:
         """When the last fault (or fault window) is over."""
@@ -281,34 +191,17 @@ class FaultSchedule:
     # -- validation --------------------------------------------------------
     def validate(self) -> None:
         """Check the composition rules; raises RuntimeStateError."""
-        spec = self.spec
-        self.churn_view().validate(spec.workers)
+        validate_membership(self.events, self.spec.workers)
         self._validate_master_outages()
-        self._validate_partitions()
+        for heal in partition_heals(self.events):
+            if heal.time > self.spec.window_end:
+                raise RuntimeStateError("partitions must heal by "
+                                        "t=%.1f" % self.spec.window_end)
         self._validate_windows()
         self._validate_survivor()
 
-    def _master_outages(self) -> List[Tuple[float, float]]:
-        outages: List[Tuple[float, float]] = []
-        kill_at: Optional[float] = None
-        for event in self.events:
-            if event.action == CHURN_KILL_MASTER:
-                if kill_at is not None:
-                    raise RuntimeStateError("master killed twice without "
-                                            "a restart in between")
-                kill_at = event.time
-            elif event.action == CHURN_RESTART_MASTER:
-                if kill_at is None:
-                    raise RuntimeStateError("master restart without a "
-                                            "preceding kill")
-                outages.append((kill_at, event.time))
-                kill_at = None
-        if kill_at is not None:
-            raise RuntimeStateError("master killed but never restarted")
-        return outages
-
     def _validate_master_outages(self) -> None:
-        outages = self._master_outages()
+        outages = master_outages(self.events)
         for kill_at, restart_at in outages:
             if restart_at <= kill_at:
                 raise RuntimeStateError("master restart must come after "
@@ -333,31 +226,6 @@ class FaultSchedule:
             raise RuntimeStateError("master outages only compose with "
                                     "the plain single-tenant profile")
 
-    def _validate_partitions(self) -> None:
-        open_links: Dict[str, float] = {}
-        for event in self.events:
-            if event.action == CHURN_PARTITION:
-                if event.target in open_links:
-                    raise RuntimeStateError("link %r partitioned twice "
-                                            "without a heal"
-                                            % event.target)
-                if ">" not in event.target:
-                    raise RuntimeStateError("partition target must be a "
-                                            "directed 'a>b' link, got %r"
-                                            % event.target)
-                open_links[event.target] = event.time
-            elif event.action == CHURN_HEAL:
-                if event.target not in open_links:
-                    raise RuntimeStateError("heal of %r without an open "
-                                            "partition" % event.target)
-                del open_links[event.target]
-                if event.time > self.spec.window_end:
-                    raise RuntimeStateError("partitions must heal by "
-                                            "t=%.1f" % self.spec.window_end)
-        if open_links:
-            raise RuntimeStateError("links never healed: %s"
-                                    % sorted(open_links))
-
     def _validate_windows(self) -> None:
         for event in self.window_events():
             if event.end > self.spec.window_end:
@@ -372,7 +240,7 @@ class FaultSchedule:
 
     def _validate_survivor(self) -> None:
         churned: Set[str] = {event.target for event in self.events
-                             if event.action in (CHURN_KILL, CHURN_LEAVE)}
+                             if event.action in DEPARTURES}
         if not set(self.spec.workers) - churned:
             raise RuntimeStateError("every worker churns at some point; "
                                     "keep at least one untouched survivor")

@@ -3,12 +3,14 @@
 import pytest
 
 from repro import metrics as metrics_mod
-from repro.core.delivery import (AT_LEAST_ONCE, BEST_EFFORT, CHURN_KILL,
-                                 CHURN_LEAVE, CHURN_REJOIN, ChurnEvent,
-                                 ChurnSchedule, DedupWindow, DeliveryConfig,
-                                 EVICT_BYTES, EVICT_CAPACITY, EVICT_EXPIRED,
-                                 EVICT_SHED, ReplayBuffer)
+from repro.core.delivery import (AT_LEAST_ONCE, BEST_EFFORT, DedupWindow,
+                                 DeliveryConfig, EVICT_BYTES, EVICT_CAPACITY,
+                                 EVICT_EXPIRED, EVICT_SHED, ReplayBuffer)
 from repro.core.exceptions import RuntimeStateError
+from repro.core.faults import (CHURN_KILL, CHURN_LEAVE, CHURN_REJOIN,
+                               FaultEvent, validate_membership)
+from repro.simulation.scenarios import churn_schedule
+from repro.verify.schedule import FaultSchedule, ScheduleSpec
 
 
 def make_buffer(**kwargs):
@@ -150,60 +152,61 @@ class TestDedupWindow:
 class TestChurnEvent:
     def test_validates_action_time_device(self):
         with pytest.raises(RuntimeStateError):
-            ChurnEvent(1.0, "explode", "B")
+            FaultEvent(1.0, "explode", "B")
         with pytest.raises(RuntimeStateError):
-            ChurnEvent(-1.0, CHURN_KILL, "B")
+            FaultEvent(-1.0, CHURN_KILL, "B")
         with pytest.raises(RuntimeStateError):
-            ChurnEvent(1.0, CHURN_KILL, "")
+            FaultEvent(1.0, CHURN_KILL, "")
 
 
 class TestChurnSchedule:
     def test_generate_is_deterministic(self):
-        first = ChurnSchedule.generate(seed=7, device_ids=("D", "G"),
-                                       duration=40.0)
-        second = ChurnSchedule.generate(seed=7, device_ids=("D", "G"),
-                                        duration=40.0)
-        assert first.events == second.events
-        different = ChurnSchedule.generate(seed=8, device_ids=("D", "G"),
-                                           duration=40.0)
-        assert first.events != different.events
+        first = churn_schedule(seed=7, device_ids=("D", "G"), duration=40.0)
+        second = churn_schedule(seed=7, device_ids=("D", "G"), duration=40.0)
+        assert first == second
+        different = churn_schedule(seed=8, device_ids=("D", "G"),
+                                   duration=40.0)
+        assert first != different
 
     def test_generate_events_inside_window(self):
-        schedule = ChurnSchedule.generate(seed=3, device_ids=("B", "C", "D"),
-                                          duration=60.0, start_after=5.0,
-                                          settle=8.0)
-        assert len(schedule) == 6  # one departure + one rejoin per device
-        for event in schedule:
+        events = churn_schedule(seed=3, device_ids=("B", "C", "D"),
+                                duration=60.0, start_after=5.0, settle=8.0)
+        assert len(events) == 6  # one departure + one rejoin per device
+        for event in events:
             assert 5.0 <= event.time <= 52.0
 
     def test_generate_validates_against_initial_ids(self):
-        schedule = ChurnSchedule.generate(seed=7, device_ids=("D", "G"),
-                                          duration=40.0)
-        schedule.validate({"B", "D", "G", "H"})  # must not raise
+        events = churn_schedule(seed=7, device_ids=("D", "G"), duration=40.0)
+        validate_membership(events, {"B", "D", "G", "H"})  # must not raise
 
     def test_events_sorted_by_time(self):
-        schedule = ChurnSchedule(events=(
-            ChurnEvent(5.0, CHURN_REJOIN, "B"),
-            ChurnEvent(1.0, CHURN_KILL, "B"),
-        ))
-        assert [event.time for event in schedule] == [1.0, 5.0]
+        # Validation walks the story in time order, whatever the listing.
+        validate_membership((FaultEvent(5.0, CHURN_REJOIN, "B"),
+                             FaultEvent(1.0, CHURN_KILL, "B")), {"B", "D"})
+        events = churn_schedule(seed=7, device_ids=("D", "G"), duration=40.0)
+        assert [event.time for event in events] == sorted(
+            event.time for event in events)
 
     def test_validate_rejects_departing_absent_device(self):
-        schedule = ChurnSchedule(events=(ChurnEvent(1.0, CHURN_KILL, "Z"),))
         with pytest.raises(RuntimeStateError):
-            schedule.validate({"B"})
+            validate_membership((FaultEvent(1.0, CHURN_KILL, "Z"),), {"B"})
 
     def test_validate_rejects_rejoin_of_present_device(self):
-        schedule = ChurnSchedule(events=(ChurnEvent(1.0, CHURN_REJOIN, "B"),))
         with pytest.raises(RuntimeStateError):
-            schedule.validate({"B"})
+            validate_membership((FaultEvent(1.0, CHURN_REJOIN, "B"),), {"B"})
 
     def test_validate_rejects_emptying_the_swarm(self):
-        schedule = ChurnSchedule(events=(ChurnEvent(1.0, CHURN_LEAVE, "B"),))
+        # Membership may run dry (a simulator run can kill its last
+        # worker on purpose), but a fault schedule must keep a survivor.
+        assert validate_membership((FaultEvent(1.0, CHURN_LEAVE, "B"),),
+                                   {"B"}) == set()
+        spec = ScheduleSpec(workers=("B", "D", "G"))
+        events = tuple(FaultEvent(1.0 + index, CHURN_KILL, worker)
+                       for index, worker in enumerate(spec.workers))
         with pytest.raises(RuntimeStateError):
-            schedule.validate({"B"})
+            FaultSchedule(events=events, spec=spec).validate()
 
     def test_too_short_duration_rejected(self):
         with pytest.raises(RuntimeStateError):
-            ChurnSchedule.generate(seed=0, device_ids=("B",), duration=5.0,
-                                   start_after=5.0, settle=8.0)
+            churn_schedule(seed=0, device_ids=("B",), duration=5.0,
+                           start_after=5.0, settle=8.0)

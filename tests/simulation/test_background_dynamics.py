@@ -9,8 +9,8 @@ computing capability when processor usage changes".
 import pytest
 
 from repro import profiles
-from repro.simulation.swarm import (BackgroundLoadEvent, SwarmConfig,
-                                    run_swarm)
+from repro.core.faults import CHURN_KILL, CHURN_REJOIN, LOAD_BURST, FaultEvent
+from repro.simulation.swarm import SwarmConfig, SwarmSimulation, run_swarm
 from repro.simulation.workload import face_workload
 
 
@@ -22,8 +22,9 @@ def config_with_event(policy="LRS", load=0.9, at=15.0, duration=30.0):
         policy=policy,
         duration=duration,
         seed=2,
-        background_events=(BackgroundLoadEvent(time=at, device_id="H",
-                                               load=load),),
+        # The other app starts at *at* and keeps running to the end.
+        faults=(FaultEvent(at, LOAD_BURST, "H", duration=duration - at,
+                           value=load),),
     )
 
 
@@ -54,10 +55,8 @@ class TestBackgroundLoadEvents:
 
     def test_load_can_be_lifted_again(self):
         config = config_with_event(policy="LRS", duration=40.0)
-        config.background_events = (
-            BackgroundLoadEvent(time=10.0, device_id="H", load=0.9),
-            BackgroundLoadEvent(time=25.0, device_id="H", load=0.0),
-        )
+        config.faults = (
+            FaultEvent(10.0, LOAD_BURST, "H", duration=15.0, value=0.9),)
         result = run_swarm(config)
         per_device = result.metrics.per_device_throughput_series(40.0)
         loaded = sum(per_device["H"][15:24]) / 9
@@ -66,7 +65,37 @@ class TestBackgroundLoadEvents:
 
     def test_event_for_unknown_device_ignored(self):
         config = config_with_event()
-        config.background_events = (
-            BackgroundLoadEvent(time=5.0, device_id="Z", load=0.5),)
+        config.faults = (
+            FaultEvent(5.0, LOAD_BURST, "Z", duration=5.0, value=0.5),)
         result = run_swarm(config)  # must not raise
         assert result.throughput > 20.0
+
+
+class TestLoadBurstWindow:
+    def _sim(self, faults):
+        config = config_with_event(duration=20.0)
+        config.background_load = {"G": 0.2}
+        config.faults = faults
+        return SwarmSimulation(config)
+
+    def test_device_rejoining_inside_a_burst_carries_its_load(self):
+        sim = self._sim((
+            FaultEvent(4.0, LOAD_BURST, "H", duration=10.0, value=0.7),
+            FaultEvent(6.0, CHURN_KILL, "H"),
+            FaultEvent(8.0, CHURN_REJOIN, "H")))
+        sim.sim.run(3.0)
+        assert sim.nodes["H"].cpu.background_load == 0.0
+        sim.sim.run(9.0)
+        assert sim.nodes["H"].cpu.background_load == 0.7
+        sim.sim.run(15.0)
+        assert sim.nodes["H"].cpu.background_load == 0.0
+
+    def test_burst_end_restores_the_configured_baseline(self):
+        sim = self._sim((
+            FaultEvent(2.0, LOAD_BURST, "G", duration=3.0, value=0.9),))
+        sim.sim.run(1.0)
+        assert sim.nodes["G"].cpu.background_load == 0.2
+        sim.sim.run(3.0)
+        assert sim.nodes["G"].cpu.background_load == 0.9
+        sim.sim.run(6.0)
+        assert sim.nodes["G"].cpu.background_load == 0.2

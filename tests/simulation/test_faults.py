@@ -12,10 +12,11 @@ import pytest
 
 from repro import metrics as metrics_mod
 from repro.core.exceptions import SimulationError
+from repro.core.faults import (ALL_DEVICES, CHAOS_DELAY, CHAOS_DROP,
+                               CHURN_DISCONNECT, CHURN_KILL, CHURN_REJOIN,
+                               FaultEvent)
 from repro.simulation.scenarios import fault_injection
-from repro.simulation.swarm import (DeviceKillEvent, DeviceReviveEvent,
-                                    MessageDelayEvent, MessageDropEvent,
-                                    SwarmConfig, run_swarm)
+from repro.simulation.swarm import SwarmConfig, SwarmSimulation, run_swarm
 from repro.simulation.workload import face_workload
 from repro import profiles
 
@@ -146,7 +147,8 @@ class TestMessageFaults:
     def test_message_drop_window_loses_tuples(self):
         clean = run_swarm(self._config(()))
         faulty = run_swarm(self._config(
-            (MessageDropEvent(time=3.0, duration=4.0, drop_prob=1.0),)))
+            (FaultEvent(3.0, CHAOS_DROP, ALL_DEVICES, duration=4.0,
+                        value=1.0),)))
         assert faulty.throughput < clean.throughput
         dropped = faulty.registry.values_by_label(
             metrics_mod.DROPPED_TOTAL, "reason")
@@ -155,13 +157,13 @@ class TestMessageFaults:
     def test_message_delay_window_stretches_latency(self):
         clean = run_swarm(self._config(()))
         faulty = run_swarm(self._config(
-            (MessageDelayEvent(time=3.0, duration=4.0, extra_delay=0.4),)))
+            (FaultEvent(3.0, CHAOS_DELAY, ALL_DEVICES, duration=4.0,
+                        value=0.4),)))
         assert faulty.latency.mean > clean.latency.mean
 
     def test_targeted_drop_only_hits_named_device(self):
         faulty = run_swarm(self._config(
-            (MessageDropEvent(time=3.0, duration=6.0, drop_prob=1.0,
-                              device_id="D"),)))
+            (FaultEvent(3.0, CHAOS_DROP, "D", duration=6.0, value=1.0),)))
         lost = faulty.lost_by_downstream
         assert lost.get("H", 0) == 0
 
@@ -197,8 +199,31 @@ class TestFaultConfigValidation:
 
     def test_kill_and_revive_events_schedule(self):
         config = fault_injection(revive_time=20.0)
-        kills = [f for f in config.faults if isinstance(f, DeviceKillEvent)]
-        revives = [f for f in config.faults
-                   if isinstance(f, DeviceReviveEvent)]
-        assert {f.device_id for f in kills} == {"B", "G"}
-        assert {f.device_id for f in revives} == {"B", "G"}
+        kills = [f for f in config.faults if f.action == CHURN_KILL]
+        revives = [f for f in config.faults if f.action == CHURN_REJOIN]
+        assert {f.target for f in kills} == {"B", "G"}
+        assert {f.target for f in revives} == {"B", "G"}
+
+
+class TestDisconnectVersusKill:
+    def _members_after(self, action):
+        config = SwarmConfig(
+            workload=face_workload(),
+            workers=profiles.worker_profiles(["D", "H"]),
+            source=profiles.device_profile(profiles.SOURCE_ID),
+            duration=10.0,
+            detection_delay=0.5,
+            faults=(FaultEvent(3.0, action, "D"),),
+        )
+        sim = SwarmSimulation(config)
+        sim.sim.run(3.6)
+        assert "D" not in sim.nodes
+        return set(sim.tracker.downstream_ids())
+
+    def test_disconnect_tells_the_upstream_after_detection_delay(self):
+        # The Fig. 9 leave: the broken link is noticed and D is dropped
+        # from the membership.
+        assert self._members_after(CHURN_DISCONNECT) == {"H"}
+
+    def test_silent_kill_leaves_detection_to_loss_accounting(self):
+        assert self._members_after(CHURN_KILL) == {"D", "H"}

@@ -4,12 +4,12 @@ import pytest
 
 from repro import profiles
 from repro.core.exceptions import SimulationError
+from repro.core.faults import CHURN_JOIN, FaultEvent
 from repro.simulation import scenarios
 from repro.simulation.metrics import (DROP_CONN_OVERFLOW, DROP_DEVICE_LEFT,
                                       DROP_LINK_DOWN, DROP_SOURCE_QUEUE)
 from repro.simulation.network import RSSI_GOOD, RSSI_POOR
-from repro.simulation.swarm import (JoinEvent, LeaveEvent, SwarmConfig,
-                                    UNBOUNDED_QUEUE, run_swarm)
+from repro.simulation.swarm import SwarmConfig, UNBOUNDED_QUEUE, run_swarm
 from repro.simulation.workload import face_workload
 
 
@@ -36,7 +36,7 @@ class TestConfigValidation:
             small_config(workers={}).validate()
 
     def test_join_conflicts_with_initial(self):
-        config = small_config(joins=(JoinEvent(time=1.0, device_id="G"),))
+        config = small_config(faults=(FaultEvent(1.0, CHURN_JOIN, "G"),))
         with pytest.raises(SimulationError):
             config.validate()
 

@@ -4,9 +4,8 @@ the invariant checker must classify them as *accounted* loss — never
 silent, never double-booked."""
 
 from repro import metrics as metrics_mod
-from repro.core.delivery import (AT_LEAST_ONCE, CHURN_HEAL,
-                                 CHURN_PARTITION, EVICT_BYTES,
-                                 DeliveryConfig)
+from repro.core.delivery import AT_LEAST_ONCE, EVICT_BYTES, DeliveryConfig
+from repro.core.faults import CHURN_HEAL, CHURN_PARTITION
 from repro.simulation import scenarios
 from repro.simulation.swarm import SwarmSimulation
 from repro.verify import adapters

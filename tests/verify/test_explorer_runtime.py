@@ -24,7 +24,7 @@ class TestRuntimeSubstrate:
         # Seed 2 includes a master kill/restart pair: the history must
         # show a fenced recovery and still satisfy every invariant.
         schedule = None
-        from repro.core.delivery import CHURN_KILL_MASTER
+        from repro.core.faults import CHURN_KILL_MASTER
         from repro.verify.schedule import FaultSchedule
         for seed in range(1, 20):
             candidate = FaultSchedule.generate(seed)

@@ -4,10 +4,10 @@ import json
 
 import pytest
 
-from repro.core.delivery import (CHURN_KILL, CHURN_KILL_MASTER,
-                                 CHURN_PARTITION, CHURN_REJOIN,
-                                 CHURN_RESTART_MASTER, ChurnSchedule)
 from repro.core.exceptions import RuntimeStateError
+from repro.core.faults import (CHURN_KILL, CHURN_KILL_MASTER,
+                               CHURN_PARTITION, CHURN_REJOIN,
+                               CHURN_RESTART_MASTER, POINT_ACTIONS)
 from repro.verify.schedule import (CHAOS_CORRUPT, CHAOS_DROP, LOAD_BURST,
                                    FaultEvent, FaultSchedule, RunProfile,
                                    ScheduleSpec)
@@ -87,12 +87,13 @@ class TestGeneratedSchedulesValidate:
 
 
 class TestProjections:
-    def test_churn_view_holds_only_point_events(self):
-        schedule = FaultSchedule.generate(13)
-        churn = schedule.churn_view()
-        assert isinstance(churn, ChurnSchedule)
+    def test_point_and_window_events_partition_the_schedule(self):
+        schedule = FaultSchedule.generate(15)
+        points = [event for event in schedule
+                  if event.action in POINT_ACTIONS]
         window_count = len(list(schedule.window_events()))
-        assert len(churn) + window_count == len(schedule)
+        assert points and window_count
+        assert len(points) + window_count == len(schedule)
 
     def test_atoms_partition_the_schedule(self):
         schedule = FaultSchedule.generate(13)
